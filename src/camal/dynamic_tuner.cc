@@ -328,7 +328,7 @@ workload::ExecutionResult DynamicTuner::RunPhase(
       event.engine_ops = ops.data();
       event.results = op_results.data();
       workload::CountBatchKinds(&event);
-      // `ops` is set, so this is exactly the historical OnBatch path.
+      // `ops` is set: the arbiter accounts the generator's typed ops.
       arbiter_->OnBatchEvent(engine, event);
     }
     ++batch_index;

@@ -10,7 +10,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
 #include <filesystem>
 #include <limits>
 #include <list>
@@ -21,7 +20,6 @@
 
 #include "engine/io_ring.h"
 #include "engine/manifest.h"
-#include "engine/sharded_engine.h"
 #include "lsm/bloom.h"
 #include "util/random.h"
 #include "util/status.h"
@@ -223,7 +221,7 @@ inline int OpenRead(const std::string& path, bool direct) {
 /// One shard: a file set (levels of runs) plus memtable, Bloom filters,
 /// content cache, live options, and its own cost clock. All state is
 /// shard-local so per-shard submission lists can run concurrently.
-struct FileEngine::Shard {
+struct FileEngine::Shard : ShardHost::Slot {
   lsm::Options options;
   std::string dir;
   std::map<uint64_t, lsm::Entry> memtable;
@@ -261,11 +259,9 @@ struct FileEngine::Shard {
   /// released into the sidecar file `dir + "/hibernate.snap"`; the cheap
   /// residuals below keep the observability surface (entries, run counts,
   /// transition status) answerable without rehydrating.
-  bool hibernated = false;
   uint64_t hib_memtable_size = 0;
   /// Per-level (run count, entry count) at hibernation time.
   std::vector<std::pair<size_t, uint64_t>> hib_level_shape;
-  uint64_t last_touch_epoch = ~uint64_t{0};  // sentinel: never touched
 };
 
 namespace {
@@ -533,7 +529,7 @@ void Normalize(FileEngine::Shard& sh, const FileEngineConfig& cfg,
 }
 
 /// Drains the memtable into a new level-0 run (no-op when empty).
-void FlushShard(FileEngine::Shard& sh, const FileEngineConfig& cfg,
+void FlushToRun(FileEngine::Shard& sh, const FileEngineConfig& cfg,
                 bool direct_io) {
   if (sh.memtable.empty()) return;
   std::vector<lsm::Entry> entries;
@@ -568,7 +564,7 @@ void FlushShard(FileEngine::Shard& sh, const FileEngineConfig& cfg,
 void DoPut(FileEngine::Shard& sh, const FileEngineConfig& cfg, bool direct_io,
            uint64_t key, uint64_t value, bool tombstone) {
   if (sh.memtable.size() >= sh.options.BufferEntries()) {
-    FlushShard(sh, cfg, direct_io);
+    FlushToRun(sh, cfg, direct_io);
   }
   const lsm::Entry e{key, value, tombstone};
   sh.memtable[key] = e;
@@ -613,6 +609,16 @@ bool DoGet(FileEngine::Shard& sh, const FileEngineConfig& cfg, uint64_t key,
       // like the simulated engine's kNotFoundAfterIo outcome.
     }
   }
+  return false;
+}
+
+/// Untimed point op (kGet/kPut/kDelete); for kGet, whether the key is
+/// live.
+bool DoPoint(FileEngine::Shard& sh, const FileEngineConfig& cfg,
+             bool direct_io, const Op& op, uint64_t* value) {
+  if (op.kind == OpKind::kGet) return DoGet(sh, cfg, op.key, value);
+  const bool tombstone = op.kind == OpKind::kDelete;
+  DoPut(sh, cfg, direct_io, op.key, tombstone ? 0 : op.value, tombstone);
   return false;
 }
 
@@ -765,7 +771,6 @@ void HibernateShardState(FileEngine::Shard& sh, const FileEngineConfig& cfg) {
   sh.ring.reset();
   sh.ring_bufs.clear();
   sh.io_depth = 1;
-  sh.hibernated = true;
 }
 
 /// Rehydrates a hibernated shard from its sidecar: reopens run files,
@@ -868,7 +873,6 @@ void WakeShardState(FileEngine::Shard& sh, const FileEngineConfig& cfg,
 
   sh.io_depth = 0;  // force SetupShardRing to resolve from scratch
   SetupShardRing(sh, cfg, engine_uring);
-  sh.hibernated = false;
   sh.hib_memtable_size = 0;
   sh.hib_level_shape.clear();
   MaybeRotateManifest(sh, cfg);
@@ -1209,8 +1213,7 @@ uint64_t FileEngine::NextUniqueId() {
 
 FileEngine::FileEngine(size_t num_shards, const lsm::Options& total_options,
                        const FileEngineConfig& config)
-    : config_(config) {
-  CAMAL_CHECK(num_shards >= 1);
+    : ShardHost(num_shards, total_options, config.lifecycle), config_(config) {
   CAMAL_CHECK(config_.block_bytes >= 512 &&
               (config_.block_bytes & (config_.block_bytes - 1)) == 0);
   // Normalize the durability knobs once: reopening implies the layer is
@@ -1249,28 +1252,19 @@ FileEngine::FileEngine(size_t num_shards, const lsm::Options& total_options,
   // (SetupShardRing); everything else falls back to pread automatically.
   use_uring_ = config_.io_mode != IoMode::kPread && fileio::IoRingSupported();
 
-  default_options_ = ShardedEngine::ShardOptions(total_options, num_shards);
-  num_shards_ = num_shards;  // no slots yet: all shards cold
   if (config_.reopen) RecoverShards();
-  if (!config_.lifecycle.lazy) {
-    for (size_t s = 0; s < num_shards; ++s) MaterializeShard(s);
-  }
+  MaterializeEagerShards();
 }
 
 FileEngine::~FileEngine() {
   // Clean close: anything still buffered in a WAL lands (and, per policy,
   // syncs) so `reopen=true` restores the exact logical state. Hibernated
   // shards committed theirs when they went to sleep.
-  if (config_.durable) {
-    for (auto& [s, sh] : shards_) {
-      (void)s;
-      if (sh->wal != nullptr) sh->wal->Commit();
-    }
-  }
-  // Close every run fd before touching the directory tree.
-  for (auto& [s, sh] : shards_) {
-    (void)s;
-    for (auto& level : sh->levels) level.clear();
+  for (const auto& [s, slot] : slots()) {
+    Shard& sh = static_cast<Shard&>(*slot);
+    if (sh.wal != nullptr) sh.wal->Commit();
+    // Close every run fd before touching the directory tree.
+    for (auto& level : sh.levels) level.clear();
   }
   if (config_.keep_files) return;
   std::error_code ec;
@@ -1279,9 +1273,8 @@ FileEngine::~FileEngine() {
   } else {
     // The caller owned the directory before us: remove only our shard
     // subtrees, never sibling content. Cold shards never created theirs.
-    for (const auto& [s, sh] : shards_) {
-      (void)s;
-      fs::remove_all(sh->dir, ec);
+    for (const auto& [s, slot] : slots()) {
+      fs::remove_all(static_cast<const Shard&>(*slot).dir, ec);
     }
   }
 }
@@ -1298,7 +1291,7 @@ void FileEngine::RecoverShards() {
     char* end = nullptr;
     const unsigned long long s = std::strtoull(name.c_str() + 6, &end, 10);
     if (end == nullptr || *end != '\0') continue;  // not ours
-    CAMAL_CHECK(s < num_shards_);  // reopened with a smaller shard count
+    CAMAL_CHECK(s < NumShards());  // reopened with a smaller shard count
     found.emplace_back(static_cast<size_t>(s), entry.path().string());
   }
   // Deterministic recovery order (directory iteration order is not).
@@ -1351,7 +1344,6 @@ void FileEngine::RecoverShard(size_t s, const std::string& dir) {
   if (hibernated) {
     // Restored asleep: residuals only, no descriptors, no heap state —
     // the next touching op wakes it through the ordinary sidecar path.
-    sh->hibernated = true;
     sh->hib_memtable_size = st.hib_memtable_entries;
     for (const auto& [runs, entries] : st.hib_shape) {
       sh->hib_level_shape.emplace_back(static_cast<size_t>(runs), entries);
@@ -1366,8 +1358,7 @@ void FileEngine::RecoverShard(size_t s, const std::string& dir) {
       fileio::Manifest temp(ops, dir, sync, st.num_records);
       temp.TruncateTail(st.valid_bytes);
     }
-    shards_.emplace(s, std::move(sh));
-    hibernated_.insert(s);
+    AdoptShard(s, std::move(sh), ShardState::kHibernated);
     return;
   }
 
@@ -1428,416 +1419,125 @@ void FileEngine::RecoverShard(size_t s, const std::string& dir) {
   sh->scratch = AllocAligned(config_.block_bytes, config_.block_bytes);
   sh->io_depth = 0;  // force SetupShardRing to resolve from scratch
   SetupShardRing(*sh, config_, use_uring_);
-  shards_.emplace(s, std::move(sh));
-  resident_.insert(s);
+  AdoptShard(s, std::move(sh), ShardState::kMaterialized);
 }
 
-FileEngine::Shard* FileEngine::ShardPtr(size_t s) {
-  const auto it = shards_.find(s);
-  return it == shards_.end() ? nullptr : it->second.get();
-}
-const FileEngine::Shard* FileEngine::ShardPtr(size_t s) const {
-  const auto it = shards_.find(s);
-  return it == shards_.end() ? nullptr : it->second.get();
+std::unique_ptr<ShardHost::Slot> FileEngine::NewSlot() {
+  return std::make_unique<Shard>();
 }
 
-FileEngine::Shard& FileEngine::shard(size_t s) {
-  CAMAL_CHECK(s < num_shards_);
-  Shard* sh = ShardPtr(s);
-  CAMAL_CHECK(sh != nullptr);
-  return *sh;
-}
-const FileEngine::Shard& FileEngine::shard(size_t s) const {
-  CAMAL_CHECK(s < num_shards_);
-  const Shard* sh = ShardPtr(s);
-  CAMAL_CHECK(sh != nullptr);
-  return *sh;
-}
-
-const lsm::Options& FileEngine::EffectiveOptions(size_t s) const {
-  const auto it = cold_options_.find(s);
-  return it != cold_options_.end() ? it->second : default_options_;
-}
-
-FileEngine::Shard& FileEngine::MaterializeShard(size_t s) {
-  CAMAL_CHECK(s < num_shards_);
-  if (Shard* existing = ShardPtr(s)) {
-    if (existing->hibernated) {
-      WakeShardState(*existing, config_, direct_io_, use_uring_);
-      hibernated_.erase(s);
-      resident_.insert(s);
-    }
-    return *existing;
-  }
-  auto sh = std::make_unique<Shard>();
-  const auto it = cold_options_.find(s);
-  sh->options = it != cold_options_.end() ? it->second : default_options_;
-  if (it != cold_options_.end()) cold_options_.erase(it);
-  sh->dir = workdir_ + "/shard_" + std::to_string(s);
+void FileEngine::CreateShard(size_t s, Slot& slot,
+                             const lsm::Options& options) {
+  Shard& sh = static_cast<Shard&>(slot);
+  sh.options = options;
+  sh.dir = workdir_ + "/shard_" + std::to_string(s);
   std::error_code ec;
-  fs::create_directories(sh->dir, ec);
-  SysCheck(!ec, "create_directories", sh->dir);
+  fs::create_directories(sh.dir, ec);
+  SysCheck(!ec, "create_directories", sh.dir);
   if (config_.durable) {
     // A fresh shard starts fresh logs; stale files from an earlier engine
     // in a reused directory (reopen=false deliberately ignores them) must
     // not be appended to.
-    config_.file_ops->Unlink(fileio::Manifest::PathFor(sh->dir));
-    config_.file_ops->Unlink(fileio::Wal::PathFor(sh->dir));
-    sh->manifest = std::make_unique<fileio::Manifest>(
-        config_.file_ops, sh->dir, DurableSync(config_));
-    sh->manifest->LogInit(s, sh->options);
-    sh->wal = std::make_unique<fileio::Wal>(config_.file_ops, sh->dir,
-                                            config_.wal_sync);
+    config_.file_ops->Unlink(fileio::Manifest::PathFor(sh.dir));
+    config_.file_ops->Unlink(fileio::Wal::PathFor(sh.dir));
+    sh.manifest = std::make_unique<fileio::Manifest>(
+        config_.file_ops, sh.dir, DurableSync(config_));
+    sh.manifest->LogInit(s, sh.options);
+    sh.wal = std::make_unique<fileio::Wal>(config_.file_ops, sh.dir,
+                                           config_.wal_sync);
   }
-  sh->cache.Resize(sh->options.block_cache_bytes / config_.block_bytes);
-  sh->scratch = AllocAligned(config_.block_bytes, config_.block_bytes);
-  sh->io_depth = 0;  // force SetupShardRing to resolve from scratch
-  SetupShardRing(*sh, config_, use_uring_);
-  Shard& live = *sh;
-  shards_.emplace(s, std::move(sh));
-  resident_.insert(s);
-  return live;
+  sh.cache.Resize(sh.options.block_cache_bytes / config_.block_bytes);
+  sh.scratch = AllocAligned(config_.block_bytes, config_.block_bytes);
+  sh.io_depth = 0;  // force SetupShardRing to resolve from scratch
+  SetupShardRing(sh, config_, use_uring_);
 }
 
-void FileEngine::HibernateShardAt(size_t s) {
-  Shard& sh = shard(s);
-  CAMAL_CHECK(!sh.hibernated);
-  HibernateShardState(sh, config_);
-  resident_.erase(s);
-  hibernated_.insert(s);
+void FileEngine::WakeShard(Slot& slot) {
+  WakeShardState(static_cast<Shard&>(slot), config_, direct_io_, use_uring_);
 }
 
-void FileEngine::WakeAllHibernated() {
-  while (!hibernated_.empty()) MaterializeShard(*hibernated_.begin());
+void FileEngine::HibernateShard(Slot& slot) {
+  HibernateShardState(static_cast<Shard&>(slot), config_);
 }
 
-void FileEngine::Touch(size_t s) {
-  if (config_.lifecycle.hibernate_after_batches == 0) return;
-  Shard& sh = *shards_.at(s);
-  if (sh.last_touch_epoch == epoch_) return;
-  sh.last_touch_epoch = epoch_;
-  idle_queue_.emplace_back(s, epoch_);
-}
+// ------------------------------------------------------------ shard serving
 
-void FileEngine::HibernateIdleShards() {
-  const uint64_t window = config_.lifecycle.hibernate_after_batches;
-  while (!idle_queue_.empty() &&
-         idle_queue_.front().second + window <= epoch_) {
-    const auto [s, touched] = idle_queue_.front();
-    idle_queue_.pop_front();
-    // Lazy deletion: only the newest timer of a still-resident shard
-    // hibernates it.
-    const Shard* sh = ShardPtr(s);
-    if (sh != nullptr && !sh->hibernated && sh->last_touch_epoch == touched) {
-      HibernateShardAt(s);
+void FileEngine::RunList(Slot& slot, const ShardList& list) {
+  Shard& sh = static_cast<Shard&>(slot);
+  const std::vector<size_t>& idx = list.indices;
+  std::vector<lsm::Entry> scratch;
+  for (size_t li = 0; li < idx.size();) {
+    const size_t i = idx[li];
+    const Op& op = list.ops[i];
+    // Ring path: a maximal run of consecutive gets becomes one overlapped
+    // submission window. Puts/deletes (may flush or compact) and scans
+    // (content-dependent cursors) stay synchronous barriers, executed
+    // exactly as on the pread path.
+    if (sh.ring != nullptr && op.kind == OpKind::kGet) {
+      size_t end = li + 1;
+      while (end < idx.size() && list.ops[idx[end]].kind == OpKind::kGet) {
+        ++end;
+      }
+      ExecuteGetWindow(sh, config_, list.ops, idx.data() + li, end - li,
+                       list.results);
+      li = end;
+      continue;
     }
+    ++li;
+    if (op.kind == OpKind::kScan) {
+      scratch.clear();
+      list.Probe(i) = ProbeScan(slot, op.key, op.scan_len, &scratch);
+      continue;
+    }
+    const uint64_t ios_before = sh.clock.block_reads + sh.clock.block_writes;
+    const double t0 = Now(config_);
+    OpResult r;
+    r.found = DoPoint(sh, config_, direct_io_, op, nullptr);
+    const double dt = Now(config_) - t0;
+    r.latency_ns = dt;
+    r.ios = sh.clock.block_reads + sh.clock.block_writes - ios_before;
+    sh.clock.elapsed_ns += dt;
+    list.results[i] = r;
   }
+  // Group commit: the shard's whole batch of logged writes lands in one
+  // pwrite (+ one fsync under kBatch). Untimed — durability overhead is
+  // measured by bench_recovery, not charged to op latencies.
+  if (sh.wal != nullptr) sh.wal->Commit();
 }
 
-size_t FileEngine::NumShards() const { return num_shards_; }
-
-size_t FileEngine::ShardIndex(uint64_t key) const {
-  if (num_shards_ == 1) return 0;
-  return static_cast<size_t>(util::Mix64(key) % num_shards_);
-}
-
-// ------------------------------------------------------------ public surface
-
-void FileEngine::Put(uint64_t key, uint64_t value) {
-  const size_t s = ShardIndex(key);
-  Shard& sh = MaterializeShard(s);
-  Touch(s);
+ShardHost::ScanProbe FileEngine::ProbeScan(Slot& slot, uint64_t start_key,
+                                           size_t max_entries,
+                                           std::vector<lsm::Entry>* out) {
+  Shard& sh = static_cast<Shard&>(slot);
+  ScanProbe probe;
+  probe.before = sh.clock.Snapshot();
   const double t0 = Now(config_);
-  DoPut(sh, config_, direct_io_, key, value, /*tombstone=*/false);
-  if (sh.wal != nullptr) sh.wal->Commit();  // single-op "batch"
+  probe.hits = DoScanShard(sh, config_, start_key, max_entries, out);
   sh.clock.elapsed_ns += Now(config_) - t0;
+  probe.after = sh.clock.Snapshot();
+  return probe;
 }
 
-void FileEngine::Delete(uint64_t key) {
-  const size_t s = ShardIndex(key);
-  Shard& sh = MaterializeShard(s);
-  Touch(s);
+bool FileEngine::ApplyPoint(Slot& slot, const Op& op, uint64_t* value) {
+  Shard& sh = static_cast<Shard&>(slot);
   const double t0 = Now(config_);
-  DoPut(sh, config_, direct_io_, key, 0, /*tombstone=*/true);
-  if (sh.wal != nullptr) sh.wal->Commit();  // single-op "batch"
-  sh.clock.elapsed_ns += Now(config_) - t0;
-}
-
-bool FileEngine::Get(uint64_t key, uint64_t* value) {
-  const size_t s = ShardIndex(key);
-  Shard& sh = MaterializeShard(s);
-  Touch(s);
-  const double t0 = Now(config_);
-  const bool found = DoGet(sh, config_, key, value);
+  const bool found = DoPoint(sh, config_, direct_io_, op, value);
+  if (op.kind != OpKind::kGet && sh.wal != nullptr) {
+    sh.wal->Commit();  // single-op "batch"
+  }
   sh.clock.elapsed_ns += Now(config_) - t0;
   return found;
 }
 
-size_t FileEngine::Scan(uint64_t start_key, size_t max_entries,
-                        std::vector<lsm::Entry>* out) {
-  if (num_shards_ == 1) {
-    Shard& sh = MaterializeShard(0);
-    Touch(0);
-    const double t0 = Now(config_);
-    const size_t n = DoScanShard(sh, config_, start_key, max_entries, out);
-    sh.clock.elapsed_ns += Now(config_) - t0;
-    return n;
-  }
-  if (max_entries == 0) return 0;
-
-  // Scans consult every data-holding shard: hibernated shards wake, cold
-  // shards are skipped (an empty shard contributes nothing and performs
-  // no reads).
-  WakeAllHibernated();
-  const std::vector<size_t> probed(resident_.begin(), resident_.end());
-  for (size_t s : probed) Touch(s);
-
-  // Scatter: every resident shard contributes its own sorted slice (key
-  // sets are hash-partitioned and disjoint), each probe timed on its own
-  // clock. Shard slots resolve before the fan-out — workers never touch
-  // the shard map.
-  std::vector<Shard*> probed_slot(probed.size());
-  for (size_t k = 0; k < probed.size(); ++k) {
-    probed_slot[k] = shards_.at(probed[k]).get();
-  }
-  std::vector<std::vector<lsm::Entry>> slices(probed.size());
-  util::ParallelFor(pool_, 0, probed.size(), [&](size_t k) {
-    Shard& sh = *probed_slot[k];
-    const double t0 = Now(config_);
-    DoScanShard(sh, config_, start_key, max_entries, &slices[k]);
-    sh.clock.elapsed_ns += Now(config_) - t0;
-  });
-
-  // Gather: binary-heap k-way merge of the disjoint sorted slices.
-  return MergeDisjointSlices(slices, max_entries, out);
+void FileEngine::FlushShard(Slot& slot) {
+  Shard& sh = static_cast<Shard&>(slot);
+  const double t0 = Now(config_);
+  FlushToRun(sh, config_, direct_io_);
+  sh.clock.elapsed_ns += Now(config_) - t0;
 }
 
-void FileEngine::ExecuteOps(const Op* ops, size_t count, OpResult* results) {
-  if (count == 0) return;
-  ++epoch_;
-
-  // Pass 1: bring every shard this batch drives to the materialized
-  // state. Scans additionally wake all hibernated shards — their file
-  // sets participate in every range probe — while cold shards stay cold
-  // (an empty shard contributes nothing and performs no reads).
-  bool has_scan = false;
-  for (size_t i = 0; i < count; ++i) {
-    if (ops[i].kind == OpKind::kScan) {
-      has_scan = true;
-    } else {
-      const size_t s = ShardIndex(ops[i].key);
-      MaterializeShard(s);
-      Touch(s);
-    }
-  }
-  if (has_scan) WakeAllHibernated();
-
-  // Pass 2: one submission list per touched shard, in submission order; a
-  // scan probe appears in every resident shard's list (same sparse
-  // decomposition as ShardedEngine::ExecuteOps — O(ops + resident), never
-  // O(total shards)).
-  std::vector<size_t> list_shard;  // list index -> shard id
-  std::vector<std::vector<size_t>> lists;
-  std::unordered_map<size_t, size_t> list_of;
-  if (has_scan) {
-    // The probe set is the resident set after pass 1, ascending; every
-    // point shard of this batch is already in it.
-    list_shard.assign(resident_.begin(), resident_.end());
-    lists.resize(list_shard.size());
-    list_of.reserve(2 * list_shard.size());
-    for (size_t k = 0; k < list_shard.size(); ++k) {
-      list_of.emplace(list_shard[k], k);
-      Touch(list_shard[k]);
-    }
-  }
-  std::vector<size_t> scan_slot(count, 0);
-  std::vector<size_t> scan_op;
-  for (size_t i = 0; i < count; ++i) {
-    if (ops[i].kind == OpKind::kScan) {
-      scan_slot[i] = scan_op.size();
-      scan_op.push_back(i);
-      for (auto& list : lists) list.push_back(i);
-    } else {
-      const size_t s = ShardIndex(ops[i].key);
-      const auto [it, inserted] = list_of.try_emplace(s, lists.size());
-      if (inserted) {
-        lists.emplace_back();
-        list_shard.push_back(s);
-      }
-      lists[it->second].push_back(i);
-    }
-  }
-
-  // Per-(scan, probed shard) bookkeeping: real duration, real I/O count,
-  // and live hits, indexed slot * stride + k so concurrent writers touch
-  // disjoint elements.
-  const size_t stride = lists.size();
-  const size_t num_scans = scan_op.size();
-  std::vector<double> scan_ns(num_scans * stride, 0.0);
-  std::vector<uint64_t> scan_ios(num_scans * stride, 0);
-  std::vector<size_t> scan_hits(num_scans * stride, 0);
-
-  // Resolve shard slots before the fan-out: every listed shard is
-  // materialized (pass 1), and workers must never touch the shard map.
-  std::vector<Shard*> list_slot(lists.size());
-  for (size_t k = 0; k < lists.size(); ++k) {
-    list_slot[k] = shards_.at(list_shard[k]).get();
-  }
-
-  util::ParallelFor(pool_, 0, lists.size(), [&](size_t k) {
-    Shard& sh = *list_slot[k];
-    std::vector<lsm::Entry> scratch;
-    const std::vector<size_t>& list = lists[k];
-    for (size_t li = 0; li < list.size();) {
-      const size_t i = list[li];
-      const Op& op = ops[i];
-      // Ring path: a maximal run of consecutive gets becomes one
-      // overlapped submission window. Puts/deletes (may flush or
-      // compact) and scans (content-dependent cursors) stay synchronous
-      // barriers, executed exactly as on the pread path.
-      if (sh.ring != nullptr && op.kind == OpKind::kGet) {
-        size_t end = li + 1;
-        while (end < list.size() && ops[list[end]].kind == OpKind::kGet) {
-          ++end;
-        }
-        ExecuteGetWindow(sh, config_, ops, list.data() + li, end - li,
-                         results);
-        li = end;
-        continue;
-      }
-      ++li;
-      const uint64_t ios_before = sh.clock.block_reads + sh.clock.block_writes;
-      const double t0 = Now(config_);
-      if (op.kind == OpKind::kScan) {
-        const size_t slot = scan_slot[i] * stride + k;
-        scratch.clear();
-        scan_hits[slot] =
-            DoScanShard(sh, config_, op.key, op.scan_len, &scratch);
-        const double dt = Now(config_) - t0;
-        scan_ns[slot] = dt;
-        scan_ios[slot] =
-            sh.clock.block_reads + sh.clock.block_writes - ios_before;
-        sh.clock.elapsed_ns += dt;
-        continue;
-      }
-      OpResult r;
-      switch (op.kind) {
-        case OpKind::kGet:
-          r.found = DoGet(sh, config_, op.key, nullptr);
-          break;
-        case OpKind::kPut:
-          DoPut(sh, config_, direct_io_, op.key, op.value, false);
-          break;
-        case OpKind::kDelete:
-          DoPut(sh, config_, direct_io_, op.key, 0, true);
-          break;
-        case OpKind::kScan:
-          break;  // handled above
-      }
-      const double dt = Now(config_) - t0;
-      r.latency_ns = dt;
-      r.ios = sh.clock.block_reads + sh.clock.block_writes - ios_before;
-      sh.clock.elapsed_ns += dt;
-      results[i] = r;
-    }
-    // Group commit: the shard's whole batch of logged writes lands in one
-    // pwrite (+ one fsync under kBatch). Untimed — durability overhead is
-    // measured by bench_recovery, not charged to op latencies.
-    if (sh.wal != nullptr) sh.wal->Commit();
-  });
-
-  // Gather the scans: a probe ran on every resident shard (cold shards
-  // would have contributed zero reads and zero hits); the op's latency is
-  // the sum of its per-shard probe times (serial-equivalent, the
-  // simulated engine's convention), its I/O the sum of real reads.
-  for (size_t slot = 0; slot < num_scans; ++slot) {
-    OpResult r;
-    size_t hits = 0;
-    for (size_t k = 0; k < stride; ++k) {
-      r.latency_ns += scan_ns[slot * stride + k];
-      r.ios += scan_ios[slot * stride + k];
-      hits += scan_hits[slot * stride + k];
-    }
-    const size_t i = scan_op[slot];
-    r.scan_hits = std::min(ops[i].scan_len, hits);
-    results[i] = r;
-  }
-
-  if (config_.lifecycle.hibernate_after_batches != 0) HibernateIdleShards();
-  ProfileBatch(ops, count, results);
-}
-
-void FileEngine::FlushMemtable() {
-  // Hibernated shards holding buffered writes wake to flush them; the
-  // rest stay asleep (their flush would be a no-op). Cold shards are
-  // empty by construction.
-  std::vector<size_t> wake;
-  for (size_t s : hibernated_) {
-    if (shards_.at(s)->hib_memtable_size > 0) wake.push_back(s);
-  }
-  for (size_t s : wake) {
-    MaterializeShard(s);
-    Touch(s);
-  }
-  for (size_t s : resident_) {
-    Shard& sh = *shards_.at(s);
-    const double t0 = Now(config_);
-    FlushShard(sh, config_, direct_io_);
-    sh.clock.elapsed_ns += Now(config_) - t0;
-  }
-}
-
-void FileEngine::Reconfigure(const lsm::Options& new_total_options) {
-  const lsm::Options per_shard =
-      ShardedEngine::ShardOptions(new_total_options, num_shards_);
-  default_options_ = per_shard;
-  cold_options_.clear();
-  // Touched shards reconfigure now; untouched (cold) ones pick the new
-  // default up at materialization. Gather ids first: the hibernated
-  // overflow path inside ReconfigureShard may wake a shard, which
-  // mutates the lifecycle sets but never the map itself — still, never
-  // iterate a container while callees update its siblings.
-  std::vector<size_t> touched;
-  touched.reserve(shards_.size());
-  for (const auto& [s, sh] : shards_) {
-    (void)sh;
-    touched.push_back(s);
-  }
-  for (size_t s : touched) ReconfigureShard(s, per_shard);
-}
-
-void FileEngine::ReconfigureShard(size_t s, const lsm::Options& options) {
-  CAMAL_CHECK(s < num_shards_);
-  Shard* slot = ShardPtr(s);
-  if (slot == nullptr) {
-    // Deferred: a cold shard is an empty file set, and reconfiguring an
-    // empty shard is observationally identical to materializing it with
-    // the new options in the first place.
-    CAMAL_CHECK(options.entry_bytes == EffectiveOptions(s).entry_bytes);
-    cold_options_[s] = options;
-    return;
-  }
-  Shard& sh = *slot;
-  CAMAL_CHECK(options.entry_bytes == sh.options.entry_bytes);
-  if (sh.hibernated) {
-    // In-place update while asleep, unless the buffered writes now
-    // overflow the new capacity — then the shard must wake to flush,
-    // exactly as the live path would.
-    sh.options = options;
-    if (sh.hib_memtable_size < options.BufferEntries()) {
-      if (config_.durable) {
-        // The shard's writers are closed while it sleeps; a short-lived
-        // one records the change so a restart wakes into the new config.
-        fileio::Manifest temp(config_.file_ops, sh.dir, DurableSync(config_),
-                              sh.manifest_records);
-        temp.LogOptions(options);
-        sh.manifest_records = temp.record_count();
-      }
-      return;
-    }
-    MaterializeShard(s);
-    Touch(s);
-  }
+void FileEngine::ReconfigureLive(Slot& slot, const lsm::Options& options) {
+  Shard& sh = static_cast<Shard&>(slot);
   const double t0 = Now(config_);
   sh.options = options;
   if (sh.manifest != nullptr) sh.manifest->LogOptions(options);
@@ -1846,7 +1546,7 @@ void FileEngine::ReconfigureShard(size_t s, const lsm::Options& options) {
   // flush/compaction cascades (InTransition reports the interim).
   sh.cache.Resize(options.block_cache_bytes / config_.block_bytes);
   if (sh.memtable.size() >= sh.options.BufferEntries()) {
-    FlushShard(sh, config_, direct_io_);
+    FlushToRun(sh, config_, direct_io_);
   }
   // A changed io_queue_depth rebuilds the shard's ring and slot buffers
   // (no-op otherwise). Counters stay identical at any depth, so the
@@ -1856,10 +1556,63 @@ void FileEngine::ReconfigureShard(size_t s, const lsm::Options& options) {
   sh.clock.elapsed_ns += Now(config_) - t0;
 }
 
+bool FileEngine::ReconfigureAsleep(Slot& slot, const lsm::Options& options) {
+  Shard& sh = static_cast<Shard&>(slot);
+  // In-place update while asleep, unless the buffered writes now overflow
+  // the new capacity — then the shard must wake (into the new options) to
+  // flush, exactly as the live path would.
+  sh.options = options;
+  if (sh.hib_memtable_size >= options.BufferEntries()) return false;
+  if (config_.durable) {
+    // The shard's writers are closed while it sleeps; a short-lived one
+    // records the change so a restart wakes into the new config.
+    fileio::Manifest temp(config_.file_ops, sh.dir, DurableSync(config_),
+                          sh.manifest_records);
+    temp.LogOptions(options);
+    sh.manifest_records = temp.record_count();
+  }
+  return true;
+}
+
+sim::DeviceSnapshot FileEngine::SlotCost(const Slot& slot) const {
+  return static_cast<const Shard&>(slot).clock.Snapshot();
+}
+
+ShardHost::ShardInfo FileEngine::Describe(const Slot& slot) const {
+  const Shard& sh = static_cast<const Shard&>(slot);
+  const bool asleep = sh.state == ShardState::kHibernated;
+  ShardInfo info;
+  info.options = &sh.options;
+  info.counters = sh.counters;
+  info.disk_entries = sh.disk_entries;
+  info.total_entries =
+      sh.disk_entries + (asleep ? sh.hib_memtable_size : sh.memtable.size());
+  if (asleep) {
+    // Judge the frozen shape against the (possibly updated-in-place)
+    // options, mirroring the live LevelViolates checks.
+    for (size_t l = 0; !info.in_transition && l < sh.hib_level_shape.size();
+         ++l) {
+      const auto& [runs, entries] = sh.hib_level_shape[l];
+      info.in_transition =
+          runs > 0 &&
+          (runs > static_cast<size_t>(sh.options.MaxRunsPerLevel()) ||
+           static_cast<double>(entries) >
+               sh.options.LevelCapacityEntries(static_cast<int>(l)));
+    }
+  } else {
+    for (size_t l = 0; !info.in_transition && l < sh.levels.size(); ++l) {
+      info.in_transition = LevelViolates(sh.options, sh.levels[l], l);
+    }
+  }
+  return info;
+}
+
+// ------------------------------------------------------------ observability
+
 uint32_t FileEngine::ShardQueueDepth(size_t s) const {
-  CAMAL_CHECK(s < num_shards_);
-  const Shard* sh = ShardPtr(s);
-  if (sh != nullptr && !sh->hibernated) {
+  CAMAL_CHECK(s < NumShards());
+  const Shard* sh = static_cast<const Shard*>(FindSlot(s));
+  if (sh != nullptr && sh->state == ShardState::kMaterialized) {
     return sh->ring != nullptr ? sh->io_depth : 1;
   }
   // Cold/hibernated: predict the depth materialization will resolve.
@@ -1870,30 +1623,33 @@ uint32_t FileEngine::ShardQueueDepth(size_t s) const {
 }
 
 const char* FileEngine::io_backend() const {
-  for (size_t s : resident_) {
-    if (shards_.at(s)->ring != nullptr) return "uring";
+  for (size_t s : resident()) {
+    if (static_cast<const Shard*>(FindSlot(s))->ring != nullptr) {
+      return "uring";
+    }
   }
   // No live ring: predict whether any cold/hibernated shard would engage
   // one on materialization. All such shards run either their recorded
   // options or the engine default, so checking hibernated shards plus one
   // representative of each cold configuration covers every case without
   // an O(total shards) walk.
-  if (use_uring_ && resident_.size() < num_shards_) {
+  if (use_uring_ && resident().size() < NumShards()) {
     auto engages = [&](const lsm::Options& options) {
       return RingWouldEngage(ResolvedQueueDepth(options, config_), config_,
                              use_uring_);
     };
-    for (size_t s : hibernated_) {
-      if (engages(shards_.at(s)->options)) return "uring";
+    for (size_t s : hibernated()) {
+      if (engages(static_cast<const Shard*>(FindSlot(s))->options)) {
+        return "uring";
+      }
     }
-    const size_t awake = resident_.size() + hibernated_.size();
-    if (awake < num_shards_) {
-      for (const auto& [s, options] : cold_options_) {
-        (void)s;
+    const size_t awake = resident().size() + hibernated().size();
+    if (awake < NumShards()) {
+      for (const auto& [s, options] : cold_options()) {
         if (engages(options)) return "uring";
       }
-      if (cold_options_.size() < num_shards_ - awake &&
-          engages(default_options_)) {
+      if (cold_options().size() < NumShards() - awake &&
+          engages(default_options())) {
         return "uring";
       }
     }
@@ -1901,130 +1657,16 @@ const char* FileEngine::io_backend() const {
   return "pread";
 }
 
-lsm::Options FileEngine::ShardOptionsSnapshot(size_t s) const {
-  CAMAL_CHECK(s < num_shards_);
-  const Shard* sh = ShardPtr(s);
-  return sh != nullptr ? sh->options : EffectiveOptions(s);
-}
-
-ShardState FileEngine::ShardLifecycle(size_t s) const {
-  CAMAL_CHECK(s < num_shards_);
-  const Shard* sh = ShardPtr(s);
-  if (sh == nullptr) return ShardState::kCold;
-  return sh->hibernated ? ShardState::kHibernated : ShardState::kMaterialized;
-}
-
-void FileEngine::AppendResidentShards(std::vector<size_t>* out) const {
-  out->insert(out->end(), resident_.begin(), resident_.end());
-}
-
-sim::DeviceSnapshot FileEngine::CostSnapshot() const {
-  // Ascending shard order, matching the simulated engine's convention
-  // (clock values here are real measurements, but a stable summation
-  // order keeps the aggregate reproducible given fixed per-shard clocks —
-  // e.g. under an injected virtual clock).
-  std::vector<size_t> ids;
-  ids.reserve(shards_.size());
-  for (const auto& [s, sh] : shards_) {
-    (void)sh;
-    ids.push_back(s);
-  }
-  std::sort(ids.begin(), ids.end());
-  sim::DeviceSnapshot total;
-  for (size_t s : ids) total += shards_.at(s)->clock.Snapshot();
-  return total;
-}
-
-sim::DeviceSnapshot FileEngine::ShardCostSnapshot(size_t s) const {
-  CAMAL_CHECK(s < num_shards_);
-  const Shard* sh = ShardPtr(s);
-  return sh == nullptr ? sim::DeviceSnapshot{} : sh->clock.Snapshot();
-}
-
-EngineCounters FileEngine::AggregateCounters() const {
-  EngineCounters total;
-  for (const auto& [s, sh] : shards_) {
-    (void)s;
-    total += sh->counters;
-  }
-  return total;
-}
-
-EngineCounters FileEngine::ShardCounters(size_t s) const {
-  CAMAL_CHECK(s < num_shards_);
-  const Shard* sh = ShardPtr(s);
-  return sh == nullptr ? EngineCounters{} : sh->counters;
-}
-
-uint64_t FileEngine::TotalEntries() const {
-  uint64_t total = 0;
-  for (const auto& [s, sh] : shards_) {
-    (void)s;
-    total += sh->disk_entries +
-             (sh->hibernated ? sh->hib_memtable_size : sh->memtable.size());
-  }
-  return total;
-}
-
-uint64_t FileEngine::DiskEntries() const {
-  uint64_t total = 0;
-  for (const auto& [s, sh] : shards_) {
-    (void)s;
-    total += sh->disk_entries;
-  }
-  return total;
-}
-
-uint64_t FileEngine::ShardEntries(size_t s) const {
-  CAMAL_CHECK(s < num_shards_);
-  const Shard* slot = ShardPtr(s);
-  if (slot == nullptr) return 0;
-  const Shard& sh = *slot;
-  return sh.disk_entries +
-         (sh.hibernated ? sh.hib_memtable_size : sh.memtable.size());
-}
-
-bool FileEngine::InTransition() const {
-  for (const auto& [s, sh] : shards_) {
-    (void)s;
-    if (sh->hibernated) {
-      // Judge the frozen shape against the (possibly updated-in-place)
-      // options, mirroring the live LevelViolates checks.
-      for (size_t l = 0; l < sh->hib_level_shape.size(); ++l) {
-        const auto& [runs, entries] = sh->hib_level_shape[l];
-        if (runs == 0) continue;
-        if (runs > static_cast<size_t>(sh->options.MaxRunsPerLevel())) {
-          return true;
-        }
-        if (static_cast<double>(entries) >
-            sh->options.LevelCapacityEntries(static_cast<int>(l))) {
-          return true;
-        }
-      }
-      continue;
-    }
-    for (size_t l = 0; l < sh->levels.size(); ++l) {
-      if (LevelViolates(sh->options, sh->levels[l], l)) return true;
-    }
-  }
-  return false;
-}
-
 size_t FileEngine::ShardRunCount(size_t s) const {
-  CAMAL_CHECK(s < num_shards_);
-  const Shard* slot = ShardPtr(s);
-  if (slot == nullptr) return 0;
-  const Shard& sh = *slot;
-  if (sh.hibernated) {
-    size_t runs = 0;
-    for (const auto& [count, entries] : sh.hib_level_shape) {
-      (void)entries;
-      runs += count;
-    }
-    return runs;
-  }
+  CAMAL_CHECK(s < NumShards());
+  const Shard* sh = static_cast<const Shard*>(FindSlot(s));
+  if (sh == nullptr) return 0;
   size_t runs = 0;
-  for (const auto& level : sh.levels) runs += level.size();
+  if (sh->state == ShardState::kHibernated) {
+    for (const auto& [count, entries] : sh->hib_level_shape) runs += count;
+  } else {
+    for (const auto& level : sh->levels) runs += level.size();
+  }
   return runs;
 }
 

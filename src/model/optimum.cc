@@ -37,7 +37,7 @@ double GoldenMin(F f, double lo, double hi, int iters = 80) {
 }  // namespace
 
 double MinBufferBits(const SystemParams& params) {
-  // At least 5% of the memory budget (scale-invariant, so a scaled-down
+  // At least 10% of the memory budget (scale-invariant, so a scaled-down
   // training instance explores the same bits-per-key range as the full
   // system — extrapolation, Section 5), floored at 8 entries.
   return std::max(8.0 * params.entry_bits, 0.10 * params.total_memory_bits);

@@ -48,7 +48,8 @@ TheoreticalOptimum MinimizeCost(const WorkloadSpec& w, const CostModel& model,
 TheoreticalOptimum MinimizeCostOverPolicies(const WorkloadSpec& w,
                                             const CostModel& model);
 
-/// Smallest sensible write-buffer size in bits (one block of entries).
+/// Smallest sensible write-buffer size in bits: 10% of the memory budget,
+/// floored at 8 entries.
 double MinBufferBits(const SystemParams& params);
 
 }  // namespace camal::model

@@ -38,11 +38,21 @@ std::unique_ptr<engine::ShardedEngine> MakeLoadedEngine(
   return eng;
 }
 
+// Hands `arbiter` an executor-driven batch event over `ops`.
+void ObserveBatch(MemoryArbiter* arbiter, engine::StorageEngine* eng,
+                  const workload::Operation* ops, size_t count) {
+  workload::BatchEvent event;
+  event.ops = ops;
+  event.count = count;
+  arbiter->OnBatchEvent(eng, event);
+}
+
 // Drives a steady-state skewed stream through the batched pipeline with
 // `hook` attached (nullptr = the plain pre-arbiter execution).
 workload::ExecutionResult RunStream(engine::StorageEngine* eng,
                                     workload::KeySpace* keys, double skew,
-                                    size_t num_ops, workload::BatchHook* hook,
+                                    size_t num_ops,
+                                    workload::BatchObserver* hook,
                                     size_t batch_ops = 256) {
   workload::ExecutorConfig exec;
   exec.num_ops = num_ops;
@@ -86,7 +96,7 @@ TEST(MemoryArbiterTest, ConservationAndFloorsHoldAfterEveryRound) {
     }
     results.resize(ops.size());
     eng->ExecuteOps(ops.data(), ops.size(), results.data());
-    arbiter.OnBatch(eng.get(), pending.data(), pending.size());
+    ObserveBatch(&arbiter, eng.get(), pending.data(), pending.size());
 
     // The arbitrated ledger conserves the total and respects floors...
     uint64_t ledger = 0;
@@ -344,8 +354,8 @@ TEST(MemoryArbiterTest, SingleActiveShardWindowConservesExactly) {
     arbiter.Record(3, i % 2 == 0 ? workload::OpType::kNonZeroResultLookup
                                  : workload::OpType::kWrite);
   }
-  // Record() only accumulates counts; the window clock advances in the
-  // OnBatch hooks, so fire the round directly.
+  // Record() only accumulates counts; the window clock advances in
+  // OnBatchEvent, so fire the round directly.
   arbiter.Rebalance(eng.get());
 
   // The active shard gained; every donor was a silent shard; nobody fell
@@ -429,7 +439,7 @@ TEST(MemoryArbiterTest, HibernationHandoffConservesAcrossDemoteAndRepromote) {
     }
     std::vector<engine::OpResult> results(ops.size());
     eng->ExecuteOps(ops.data(), ops.size(), results.data());
-    arbiter.OnBatch(eng.get(), stream.data() + from, 300);
+    ObserveBatch(&arbiter, eng.get(), stream.data() + from, 300);
     check_conserved();
   };
 

@@ -231,66 +231,8 @@ TEST(ShardLifecycleTest, HibernateWakeRehibernateIsBitIdenticalOnSim) {
   EXPECT_EQ(hib->DiskEntries(), eager->DiskEntries());
 }
 
-TEST(ShardLifecycleTest, ColdShardsHoldNothingAndAccessorsAreSafe) {
-  const tune::SystemSetup setup = SmallSetup(16);
-  // No bulk load: every shard starts cold.
-  ShardedEngine eng(setup.num_shards,
-                    tune::MonkeyDefaultConfig(setup).ToOptions(setup),
-                    setup.MakeDeviceConfig());
-  EXPECT_EQ(eng.MaterializedShards(), 0u);
-  for (size_t s = 0; s < setup.num_shards; ++s) {
-    EXPECT_EQ(eng.ShardLifecycle(s), ShardState::kCold);
-    EXPECT_EQ(eng.ShardEntries(s), 0u);
-    EXPECT_EQ(eng.ShardCostSnapshot(s).TotalIos(), 0u);
-    EXPECT_EQ(eng.ShardCounters(s).flushes, 0u);
-  }
-  EXPECT_EQ(eng.TotalEntries(), 0u);
-  EXPECT_EQ(eng.DiskEntries(), 0u);
-  EXPECT_FALSE(eng.InTransition());
-
-  // A scan over an all-cold engine probes nothing and finds nothing.
-  std::vector<lsm::Entry> out;
-  EXPECT_EQ(eng.Scan(0, 100, &out), 0u);
-  EXPECT_EQ(eng.MaterializedShards(), 0u);
-
-  // One touching op materializes exactly its own shard.
-  Op get;
-  get.kind = OpKind::kGet;
-  get.key = 12345;
-  OpResult r;
-  eng.ExecuteOps(&get, 1, &r);
-  EXPECT_FALSE(r.found);
-  EXPECT_EQ(eng.MaterializedShards(), 1u);
-  EXPECT_EQ(eng.ShardLifecycle(eng.ShardIndex(get.key)),
-            ShardState::kMaterialized);
-}
-
-TEST(ShardLifecycleTest, ReconfigureWhileColdAppliesOnMaterialization) {
-  const tune::SystemSetup setup = SmallSetup(4);
-  const lsm::Options total = tune::MonkeyDefaultConfig(setup).ToOptions(setup);
-  ShardedEngine eng(setup.num_shards, total, setup.MakeDeviceConfig());
-
-  // Retune a cold shard: it must stay cold (deferred reconfiguration of
-  // an empty tree is observationally identical to applying it now)...
-  lsm::Options tuned = ShardedEngine::ShardOptions(total, setup.num_shards);
-  tuned.bloom_bits = tuned.bloom_bits / 2 + 7;
-  tuned.buffer_bytes = tuned.buffer_bytes / 2;
-  eng.ReconfigureShard(2, tuned);
-  EXPECT_EQ(eng.ShardLifecycle(2), ShardState::kCold);
-  // ...and the snapshot — and the later materialized shard — must carry
-  // the tuned values.
-  EXPECT_EQ(eng.ShardOptionsSnapshot(2).bloom_bits, tuned.bloom_bits);
-  uint64_t key = 0;
-  while (eng.ShardIndex(key) != 2) ++key;
-  eng.Put(key, 1);
-  EXPECT_EQ(eng.ShardLifecycle(2), ShardState::kMaterialized);
-  EXPECT_EQ(eng.ShardOptionsSnapshot(2).bloom_bits, tuned.bloom_bits);
-  EXPECT_EQ(eng.ShardOptionsSnapshot(2).buffer_bytes, tuned.buffer_bytes);
-}
-
 // ---------------------------------------------------------------------------
-// Real-IO backend (FileEngine): the deterministic surface matches; only
-// wall-clock latencies may differ.
+// Both backends: the shared shard host's cold-shard behavior.
 // ---------------------------------------------------------------------------
 
 std::string TestBase() {
@@ -302,6 +244,90 @@ std::string UniqueDir(const std::string& tag) {
   return TestBase() + "/camal_lc_test_" + tag + "_" +
          std::to_string(FileEngine::NextUniqueId());
 }
+
+enum class Backend { kSim, kFile };
+
+class ShardHostLifecycleTest : public ::testing::TestWithParam<Backend> {
+ protected:
+  std::unique_ptr<ShardHost> MakeEngine(const tune::SystemSetup& setup,
+                                        const lsm::Options& total) {
+    if (GetParam() == Backend::kSim) {
+      return std::make_unique<ShardedEngine>(setup.num_shards, total,
+                                             setup.MakeDeviceConfig());
+    }
+    FileEngineConfig cfg;
+    cfg.workdir = UniqueDir("cold");
+    return std::make_unique<FileEngine>(setup.num_shards, total, cfg);
+  }
+};
+
+TEST_P(ShardHostLifecycleTest, ColdShardsHoldNothingAndAccessorsAreSafe) {
+  const tune::SystemSetup setup = SmallSetup(16);
+  // No bulk load: every shard starts cold.
+  auto eng =
+      MakeEngine(setup, tune::MonkeyDefaultConfig(setup).ToOptions(setup));
+  EXPECT_EQ(eng->MaterializedShards(), 0u);
+  for (size_t s = 0; s < setup.num_shards; ++s) {
+    EXPECT_EQ(eng->ShardLifecycle(s), ShardState::kCold);
+    EXPECT_EQ(eng->ShardEntries(s), 0u);
+    EXPECT_EQ(eng->ShardCostSnapshot(s).TotalIos(), 0u);
+    EXPECT_EQ(eng->ShardCounters(s).flushes, 0u);
+  }
+  EXPECT_EQ(eng->TotalEntries(), 0u);
+  EXPECT_EQ(eng->DiskEntries(), 0u);
+  EXPECT_FALSE(eng->InTransition());
+
+  // A scan over an all-cold engine probes nothing and finds nothing.
+  std::vector<lsm::Entry> out;
+  EXPECT_EQ(eng->Scan(0, 100, &out), 0u);
+  EXPECT_EQ(eng->MaterializedShards(), 0u);
+
+  // One touching op materializes exactly its own shard.
+  Op get;
+  get.kind = OpKind::kGet;
+  get.key = 12345;
+  OpResult r;
+  eng->ExecuteOps(&get, 1, &r);
+  EXPECT_FALSE(r.found);
+  EXPECT_EQ(eng->MaterializedShards(), 1u);
+  EXPECT_EQ(eng->ShardLifecycle(eng->ShardIndex(get.key)),
+            ShardState::kMaterialized);
+}
+
+TEST_P(ShardHostLifecycleTest, ReconfigureWhileColdAppliesOnMaterialization) {
+  const tune::SystemSetup setup = SmallSetup(4);
+  const lsm::Options total = tune::MonkeyDefaultConfig(setup).ToOptions(setup);
+  auto eng = MakeEngine(setup, total);
+
+  // Retune a cold shard: it must stay cold (deferred reconfiguration of
+  // an empty shard is observationally identical to applying it now)...
+  lsm::Options tuned = ShardHost::ShardOptions(total, setup.num_shards);
+  tuned.bloom_bits = tuned.bloom_bits / 2 + 7;
+  tuned.buffer_bytes = tuned.buffer_bytes / 2;
+  eng->ReconfigureShard(2, tuned);
+  EXPECT_EQ(eng->ShardLifecycle(2), ShardState::kCold);
+  // ...and the snapshot — and the later materialized shard — must carry
+  // the tuned values.
+  EXPECT_EQ(eng->ShardOptionsSnapshot(2).bloom_bits, tuned.bloom_bits);
+  uint64_t key = 0;
+  while (eng->ShardIndex(key) != 2) ++key;
+  eng->Put(key, 1);
+  EXPECT_EQ(eng->ShardLifecycle(2), ShardState::kMaterialized);
+  EXPECT_EQ(eng->ShardOptionsSnapshot(2).bloom_bits, tuned.bloom_bits);
+  EXPECT_EQ(eng->ShardOptionsSnapshot(2).buffer_bytes, tuned.buffer_bytes);
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, ShardHostLifecycleTest,
+                         ::testing::Values(Backend::kSim, Backend::kFile),
+                         [](const ::testing::TestParamInfo<Backend>& info) {
+                           return info.param == Backend::kSim ? "Sim"
+                                                              : "File";
+                         });
+
+// ---------------------------------------------------------------------------
+// Real-IO backend (FileEngine): the deterministic surface matches; only
+// wall-clock latencies may differ.
+// ---------------------------------------------------------------------------
 
 TEST(ShardLifecycleTest, HibernateWakeRehibernateMatchesEagerOnFile) {
   tune::SystemSetup setup = SmallSetup(4);
